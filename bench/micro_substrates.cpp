@@ -211,16 +211,12 @@ void BM_SchedulerSequentialRecorded(benchmark::State &State) {
     Log.NumSlots = 1;
     Log.HasStates = true;
     rt::StepHook Capture = [&](int) {
-      observe::StrandStateHasher H;
+      observe::DigestEntryWriter W(Log);
       for (size_t I = 0; I < N; ++I) {
-        uint8_t St = static_cast<uint8_t>(S[I]);
-        H.status(St);
-        Log.Status.push_back(St);
-        double V = static_cast<double>(Count[I]);
-        H.slot(V);
-        Log.Slots.push_back(observe::canonicalBits(V));
+        W.status(static_cast<uint8_t>(S[I]));
+        W.slot(static_cast<double>(Count[I]));
       }
-      Log.Entries.push_back(H.digest());
+      W.finish();
     };
     Capture(0); // entry 0: the post-initialize state
     int Steps = rt::runSequential(

@@ -53,12 +53,12 @@ namespace diderot::codegen {
 /// Version of the ddr_* C ABI between the driver and generated shared
 /// objects (v5 added ddr_metrics_read; v6 the pooled-scheduler run flag
 /// bit and the persistent StrandPool behind it; v7 the digest/state-log
-/// run flags plus ddr_digest_read / ddr_state_read for record/replay).
-/// Part of every cache key: a .so built for an older protocol must never
-/// be served to a newer driver. The loader probes the v7 symbols with
-/// dlsym and degrades gracefully — a v6 .so still runs, it just cannot
-/// report per-superstep digests.
-constexpr int DdrAbiVersion = 7;
+/// run flags for record/replay; v8 the word-wise digest and the one-copy
+/// ddr_digest_read, which replaced v7's flattened digest and state
+/// readers). Part of every cache key: a .so built for an older protocol
+/// is never served to a newer driver, so the loader can require
+/// ddr_digest_read instead of probing for it.
+constexpr int DdrAbiVersion = 8;
 
 /// Identity of the host toolchain baked into cache keys: the configured
 /// compiler path plus the version banner of the compiler that built this
@@ -67,11 +67,24 @@ constexpr int DdrAbiVersion = 7;
 /// a warm cache surviving it), not a different artifact identity.
 std::string hostCompilerId();
 
+/// Content hash of the runtime headers generated code compiles against:
+/// runtime/native_prelude.h and every header it reaches through
+/// #include "..." under DIDEROT_SRC_DIR, by relative name and contents.
+/// Computed once per process. A header that cannot be read hashes as
+/// missing (the host compile would then fail anyway).
+support::Hash128 runtimeHeadersHash();
+
 /// The cache key for \p Text compiled under \p Opts. \p Text is whatever
 /// feeds the next stage: the native loader keys on the generated C++
 /// translation unit; the serve daemon keys its program registry on Diderot
 /// source. Both incorporate every CompileOptions field that changes the
-/// result, plus DdrAbiVersion and hostCompilerId().
+/// result, plus DdrAbiVersion, hostCompilerId() and \p RuntimeHash — the
+/// generated text #includes the runtime, so an edited prelude must not
+/// reuse a .so built against the old one.
+support::Hash128 programCacheKey(const std::string &Text,
+                                 const CompileOptions &Opts,
+                                 const support::Hash128 &RuntimeHash);
+/// programCacheKey under this build's runtimeHeadersHash().
 support::Hash128 programCacheKey(const std::string &Text,
                                  const CompileOptions &Opts);
 

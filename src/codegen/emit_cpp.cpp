@@ -579,7 +579,7 @@ void ModuleEmitter::emitHeader(std::ostringstream &OS) {
   // The ABI tag participates in the shared-object cache key (native_load
   // hashes the generated source), so bumping it invalidates .so files built
   // against an older prelude/C API.
-  OS << "// Do not edit; regenerate with diderotc. runtime ABI v7\n\n";
+  OS << "// Do not edit; regenerate with diderotc. runtime ABI v8\n\n";
   OS << "#include <algorithm>\n#include <cmath>\n#include <cstdint>\n";
   OS << "#include \"runtime/native_prelude.h\"\n\n";
   OS << "namespace {\n\n";
@@ -1102,11 +1102,9 @@ int64_t ddr_trace_read(void *P, uint64_t *Out, int64_t Cap) {
 int64_t ddr_metrics_read(void *P, uint64_t *Out, int64_t Cap) {
   return static_cast<Prog *>(P)->readMetrics(Out, Cap);
 }
-int64_t ddr_digest_read(void *P, uint64_t *Out, int64_t Cap) {
-  return static_cast<Prog *>(P)->readDigests(Out, Cap);
-}
-int64_t ddr_state_read(void *P, uint64_t *Out, int64_t Cap) {
-  return static_cast<Prog *>(P)->readStates(Out, Cap);
+int ddr_digest_read(void *P, int64_t *Dims, uint64_t *Entries,
+                    uint8_t *Status, uint64_t *Slots) {
+  return static_cast<Prog *>(P)->readDigestLog(Dims, Entries, Status, Slots);
 }
 int ddr_output_dims(void *P, int64_t *Dims, int MaxD) {
   return static_cast<Prog *>(P)->outputDims(Dims, MaxD);

@@ -21,6 +21,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <utility>
 #include "observe/observe.h"
 #include "observe/profiler.h"
 #include "observe/recorder.h"
@@ -42,12 +43,57 @@ std::string hostCompilerId() {
   return strf(DIDEROT_HOST_CXX, " host=", __VERSION__);
 }
 
+support::Hash128 runtimeHeadersHash() {
+  static const support::Hash128 Hash = [] {
+    // Follow quoted includes from the prelude the generated code includes;
+    // a sorted map makes the hash independent of discovery order.
+    std::map<std::string, std::string> Headers;
+    std::vector<std::string> Todo{"runtime/native_prelude.h"};
+    while (!Todo.empty()) {
+      std::string Name = std::move(Todo.back());
+      Todo.pop_back();
+      if (Headers.count(Name))
+        continue;
+      std::ifstream In(std::filesystem::path(DIDEROT_SRC_DIR) / Name,
+                       std::ios::binary);
+      std::string Text = In ? std::string(std::istreambuf_iterator<char>(In),
+                                          std::istreambuf_iterator<char>())
+                            : std::string("<missing>");
+      for (const std::string &L : splitString(Text, '\n')) {
+        std::string_view Line = L;
+        size_t At = Line.find_first_not_of(" \t");
+        if (At == std::string_view::npos ||
+            !Line.substr(At).starts_with("#include \""))
+          continue;
+        std::string_view Rest = Line.substr(At + 10);
+        Todo.emplace_back(Rest.substr(0, Rest.find('"')));
+      }
+      Headers.emplace(std::move(Name), std::move(Text));
+    }
+    support::Fnv128 H;
+    for (const auto &[Name, Text] : Headers) {
+      H.updateField(Name);
+      H.updateField(Text);
+    }
+    return H.digest();
+  }();
+  return Hash;
+}
+
 support::Hash128 programCacheKey(const std::string &Text,
                                  const CompileOptions &Opts) {
+  return programCacheKey(Text, Opts, runtimeHeadersHash());
+}
+
+support::Hash128 programCacheKey(const std::string &Text,
+                                 const CompileOptions &Opts,
+                                 const support::Hash128 &RuntimeHash) {
   support::Fnv128 H;
   H.updateField("ddr-abi");
   H.updateField(static_cast<int64_t>(DdrAbiVersion));
   H.updateField(hostCompilerId());
+  H.updateField(static_cast<int64_t>(RuntimeHash.Hi));
+  H.updateField(static_cast<int64_t>(RuntimeHash.Lo));
   H.updateField(static_cast<int64_t>(Opts.Eng == Engine::Interp ? 0 : 1));
   H.updateField(static_cast<int64_t>(Opts.DoublePrecision ? 1 : 0));
   H.updateField(static_cast<int64_t>(Opts.EnableContract ? 1 : 0));
@@ -116,13 +162,10 @@ struct CApi {
   /// driver's live GET /metrics endpoint uses. Degrades to deriveMetrics
   /// over the v2 stats when absent.
   int64_t (*MetricsRead)(void *, uint64_t *, int64_t);
-  /// v7 protocol (null in older .so files): readers for the per-superstep
-  /// digest stream and the per-strand state log armed by run flags 32/64
-  /// (record/replay, docs/REPLAY.md). Degrades gracefully when absent —
-  /// replay falls back to final-output-only digests, a documented weaker
-  /// fidelity, unlike policies which must fail loudly.
-  int64_t (*DigestRead)(void *, uint64_t *, int64_t);
-  int64_t (*StateRead)(void *, uint64_t *, int64_t);
+  /// v8 protocol (required): copy out the per-superstep digest stream and
+  /// the per-strand state log armed by run flags 32/64 (record/replay,
+  /// docs/REPLAY.md) — dims first, then straight into host-sized buffers.
+  int (*DigestRead)(void *, int64_t *, uint64_t *, uint8_t *, uint64_t *);
   int (*OutputDims)(void *, int64_t *, int);
   int64_t (*GetOutput)(void *, const char *, double *, int64_t);
   int64_t (*NumStrands)(void *);
@@ -356,12 +399,9 @@ Result<LoadedLib *> compileAndLoad(const std::string &Source,
   Lib.Api.MetricsRead =
       reinterpret_cast<int64_t (*)(void *, uint64_t *, int64_t)>(
           Sym("ddr_metrics_read"));
-  Lib.Api.DigestRead =
-      reinterpret_cast<int64_t (*)(void *, uint64_t *, int64_t)>(
-          Sym("ddr_digest_read"));
-  Lib.Api.StateRead =
-      reinterpret_cast<int64_t (*)(void *, uint64_t *, int64_t)>(
-          Sym("ddr_state_read"));
+  Lib.Api.DigestRead = reinterpret_cast<int (*)(
+      void *, int64_t *, uint64_t *, uint8_t *, uint64_t *)>(
+      Sym("ddr_digest_read"));
   Lib.Api.OutputDims = reinterpret_cast<int (*)(void *, int64_t *, int)>(
       Sym("ddr_output_dims"));
   Lib.Api.GetOutput =
@@ -383,6 +423,10 @@ Result<LoadedLib *> compileAndLoad(const std::string &Source,
       reinterpret_cast<int (*)(void *, int)>(Sym("ddr_output_isint"));
   if (!Lib.Api.Create || !Lib.Api.Run || !Lib.Api.GetOutput)
     return RL::error("generated library is missing ddr_* symbols");
+  if (!Lib.Api.RunFlags || !Lib.Api.DigestRead)
+    return RL::error(strf("generated library ", SoPath.string(),
+                          " lacks ddr_run_flags/ddr_digest_read (runtime "
+                          "ABI < v", DdrAbiVersion, "); regenerate it"));
 
   std::lock_guard<std::mutex> G(CacheLock);
   auto [It, _] = LibCache.emplace(Key, Lib);
@@ -473,12 +517,8 @@ public:
     bool WantPooled =
         C.Sched == rt::Scheduler::Pooled && C.NumWorkers >= 1 &&
         Api->RunFlags;
-    // Digests ride the v7 run flags. A pre-v7 .so degrades gracefully:
-    // LastDigests stays empty and the replay layer falls back to comparing
-    // final outputs only (a documented weaker fidelity, not an error).
-    bool WantDigest = (C.CollectDigests || C.CollectStateLog) &&
-                      Api->RunFlags && Api->DigestRead;
-    bool WantStateLog = C.CollectStateLog && WantDigest && Api->StateRead;
+    bool WantDigest = C.CollectDigests || C.CollectStateLog;
+    bool WantStateLog = C.CollectStateLog;
     LastDigests.clear();
     auto T0 = std::chrono::steady_clock::now();
     int Steps;
@@ -507,16 +547,9 @@ public:
     if (Steps < 0)
       return RS::error(Api->Error(Prog));
     if (WantDigest) {
-      std::vector<uint64_t> Flat = readFlat(Api->DigestRead);
-      if (!observe::unflattenDigests(Flat.data(), Flat.size(), LastDigests))
-        return RS::error("generated library returned malformed digests");
-      if (WantStateLog) {
-        std::vector<uint64_t> St = readFlat(Api->StateRead);
-        // A .so may report 0 words when the state log was not retained.
-        if (St.size() >= 3 &&
-            !observe::unflattenStates(St.data(), St.size(), LastDigests))
-          return RS::error("generated library returned malformed state log");
-      }
+      Status D = readDigestLog();
+      if (!D.isOk())
+        return RS::error(D.message());
     }
     rt::RunStats Stats;
     if (WantProf) {
@@ -576,6 +609,9 @@ public:
 
   const observe::DigestLog *digestLog() const override {
     return LastDigests.Entries.empty() ? nullptr : &LastDigests;
+  }
+  observe::DigestLog takeDigestLog() override {
+    return std::exchange(LastDigests, {});
   }
 
   std::vector<int> outputDims() const override {
@@ -662,6 +698,35 @@ private:
         return;
     }
     Stats.Metrics = observe::deriveMetrics(Stats);
+  }
+
+  /// Copy the last run's digest log out of the .so: dims first, then one
+  /// copy per array straight into LastDigests, sized here on the host.
+  Status readDigestLog() {
+    int64_t Dims[3] = {};
+    int Has = Api->DigestRead(Prog, Dims, nullptr, nullptr, nullptr);
+    size_t E = static_cast<size_t>(Dims[0]);
+    size_t S = static_cast<size_t>(Dims[1]);
+    size_t K = static_cast<size_t>(Dims[2]);
+    if (Has < 0 || Dims[0] < 0 || Dims[1] < 0 || Dims[2] < 0)
+      return Status::error("generated library returned a malformed digest "
+                           "log");
+    LastDigests.NumStrands = Dims[1];
+    LastDigests.NumSlots = Dims[2];
+    LastDigests.HasStates = Has == 1;
+    std::vector<uint64_t> Words(2 * E);
+    if (LastDigests.HasStates) {
+      LastDigests.Status.resize(E * S);
+      LastDigests.Slots.resize(E * S * K);
+    }
+    if (Api->DigestRead(Prog, Dims, Words.data(), LastDigests.Status.data(),
+                        LastDigests.Slots.data()) != Has)
+      return Status::error("generated library's digest log changed while "
+                           "being read");
+    LastDigests.Entries.resize(E);
+    for (size_t I = 0; I < E; ++I)
+      LastDigests.Entries[I] = {Words[2 * I], Words[2 * I + 1]};
+    return Status::ok();
   }
 
   Status check(int RC) {

@@ -182,11 +182,7 @@ Status FlightRecorder::finish(rt::ProgramInstance &I,
   B.Steps = Stats.Steps;
   B.NumStrands = static_cast<int64_t>(I.numStrands());
   B.OutputDigest = outputDigestHex(I);
-  if (const observe::DigestLog *L = I.digestLog())
-    B.Digests = *L; // absent on pre-v7 .so files: bundle degrades to
-                    // outcome + final-output comparison
-  else
-    B.Digests.clear();
+  B.Digests = I.takeDigestLog();
   return observe::writeBundle(Dir, B, Files);
 }
 
@@ -342,7 +338,7 @@ Result<ReplayReport> replayBundle(const std::string &Path,
               L->Entries.size(), " replayed — ",
               R.Div.Diverged ? "DIVERGED" : "identical", "\n");
   else
-    T += "  digests: not compared (recording or engine lacks per-step "
+    T += "  digests: not compared (the recording has no per-step "
          "digests)\n";
   if (R.Div.Diverged)
     T += strf("  ", R.Div.Summary, "\n");

@@ -81,9 +81,10 @@ public:
   /// and arm digest + state-log capture on \p C.
   void armConfig(rt::RunConfig &C);
 
-  /// After the run: capture the digest stream, outcome, and final-output
-  /// digest, then write the bundle. The manifest is written last, so a
-  /// visible manifest means a complete bundle.
+  /// After the run: capture the digest stream (moved out of \p I — its
+  /// digestLog() is empty afterwards), outcome, and final-output digest,
+  /// then write the bundle. The manifest is written last, so a visible
+  /// manifest means a complete bundle.
   Status finish(rt::ProgramInstance &I, const rt::RunStats &Stats);
 
   /// Write the bundle for a job that never ran — the daemon's
@@ -110,8 +111,9 @@ struct ReplayReport {
   std::string ReplayedOutcome;
   int ReplayedSteps = 0;
   std::string ReplayedOutputDigest;
-  /// False when per-step digests could not be compared (pre-v7 native .so
-  /// degrade) — then only outcome and final-output digest were checked.
+  /// False when the recording has no per-step digests (a compile-trapped
+  /// job's bundle) — then only outcome and final-output digest were
+  /// checked.
   bool DigestsCompared = false;
   observe::Divergence Div; ///< meaningful when DigestsCompared
   bool OutcomeMatches = false;

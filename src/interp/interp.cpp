@@ -6,6 +6,7 @@
 #include <cmath>
 #include <map>
 #include <optional>
+#include <utility>
 
 #include "kernels/kernel.h"
 #include "nrrd/nrrd.h"
@@ -614,6 +615,9 @@ public:
   const observe::DigestLog *digestLog() const override {
     return DLog.Entries.empty() ? nullptr : &DLog;
   }
+  observe::DigestLog takeDigestLog() override {
+    return std::exchange(DLog, {});
+  }
 
   std::vector<int> outputDims() const override {
     if (M.IsGrid)
@@ -658,14 +662,6 @@ private:
     return Status::ok();
   }
 
-  /// One canonical slot for the digest (observe/digest.h): hash it and,
-  /// with the state log armed, retain its canonical bits.
-  void digestSlot(double V, observe::StrandStateHasher &H) {
-    H.slot(V);
-    if (DLog.HasStates)
-      DLog.Slots.push_back(observe::canonicalBits(V));
-  }
-
   /// Append one digest entry over the current StatusVec and strand states.
   /// RtVals flatten in slot order — params first, then state vars, tensor
   /// components row-major, ints and bools as doubles — exactly the order
@@ -673,24 +669,21 @@ private:
   /// interp and native digests bit-equal (DoublePrecision native only; a
   /// float32 native build rounds differently by design).
   void captureDigestEntry() {
-    observe::StrandStateHasher H;
+    observe::DigestEntryWriter W(DLog);
     for (size_t S = 0; S < States.size(); ++S) {
-      uint8_t St = static_cast<uint8_t>(StatusVec[S]);
-      H.status(St);
-      if (DLog.HasStates)
-        DLog.Status.push_back(St);
+      W.status(static_cast<uint8_t>(StatusVec[S]));
       for (const RtVal &V : States[S]) {
         if (const Tensor *T = std::get_if<Tensor>(&V))
           for (int K = 0; K < T->numComponents(); ++K)
-            digestSlot((*T)[K], H);
+            W.slot((*T)[K]);
         else if (const int64_t *I = std::get_if<int64_t>(&V))
-          digestSlot(static_cast<double>(*I), H);
+          W.slot(static_cast<double>(*I));
         else if (const bool *B = std::get_if<bool>(&V))
-          digestSlot(*B ? 1.0 : 0.0, H);
+          W.slot(*B ? 1.0 : 0.0);
         // Strings and images have no numeric slots in either engine.
       }
     }
-    DLog.Entries.push_back(H.digest());
+    W.finish();
   }
 
   /// Canonical slot count of one strand's state (all strands identical).

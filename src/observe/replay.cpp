@@ -312,11 +312,51 @@ const char *statusName(uint8_t S) {
 }
 
 Result<std::string> readFileBytes(const fs::path &P) {
-  std::ifstream In(P, std::ios::binary);
+  std::ifstream In(P, std::ios::binary | std::ios::ate);
   if (!In)
     return Result<std::string>::error(strf("cannot read ", P.string()));
-  return std::string((std::istreambuf_iterator<char>(In)),
-                     std::istreambuf_iterator<char>());
+  std::streamoff Size = In.tellg();
+  if (Size < 0)
+    return Result<std::string>::error(strf("cannot size ", P.string()));
+  std::string Bytes(static_cast<size_t>(Size), '\0');
+  In.seekg(0);
+  if (!In.read(Bytes.data(), static_cast<std::streamsize>(Bytes.size())))
+    return Result<std::string>::error(strf("short read of ", P.string()));
+  return Bytes;
+}
+
+//===----------------------------------------------------------------------===//
+// states.bin layout helpers
+//===----------------------------------------------------------------------===//
+
+constexpr std::string_view StatesMagic = "DDRSTATE";
+constexpr size_t StatesHeaderBytes = 32; // magic + 3 x u64
+
+// states.bin is the DigestLog's in-memory layout, little-endian; so the
+// arrays are written and read as raw bytes. A big-endian port needs a
+// byte swap in bytesOf/statesFromBin.
+static_assert(std::endian::native == std::endian::little,
+              "states.bin I/O assumes a little-endian host");
+
+template <typename T> std::string_view bytesOf(const std::vector<T> &V) {
+  return {reinterpret_cast<const char *>(V.data()), V.size() * sizeof(T)};
+}
+
+std::string statesHeader(const DigestLog &L) {
+  std::string H(StatesMagic);
+  for (uint64_t V : {static_cast<uint64_t>(L.Entries.size()),
+                     static_cast<uint64_t>(L.NumStrands),
+                     static_cast<uint64_t>(L.NumSlots)})
+    H.append(reinterpret_cast<const char *>(&V), 8);
+  return H;
+}
+
+/// A * B, or false when it does not fit in 64 bits.
+bool checkedMul(uint64_t A, uint64_t B, uint64_t &Out) {
+  if (A != 0 && B > UINT64_MAX / A)
+    return false;
+  Out = A * B;
+  return true;
 }
 
 } // namespace
@@ -383,6 +423,12 @@ Status manifestFromJson(const std::string &Text, ReplayBundle &B) {
   if (!JsonParser(Text).parse(Root) || Root.K != Json::Obj)
     return Status::error("malformed bundle manifest");
   B.Schema = static_cast<int>(Root.num("schema", 0));
+  if (B.Schema >= 1 && B.Schema < ReplaySchemaVersion)
+    return Status::error(strf("bundle schema ", B.Schema,
+                              " is no longer readable (this build reads "
+                              "schema ", ReplaySchemaVersion,
+                              ", whose state log is states.bin); re-record "
+                              "the run with this build"));
   if (B.Schema != ReplaySchemaVersion)
     return Status::error(strf("unsupported bundle schema ", B.Schema,
                               " (this build reads schema ",
@@ -464,64 +510,53 @@ Status digestsFromTsv(const std::string &Text, DigestLog &L) {
   return Status::ok();
 }
 
-std::string statesToTsv(const DigestLog &L) {
-  std::string Out;
-  if (!L.HasStates)
-    return Out;
-  size_t Strands = static_cast<size_t>(L.NumStrands);
-  size_t Slots = static_cast<size_t>(L.NumSlots);
-  Out += strf("# ", L.Entries.size(), ' ', Strands, ' ', Slots, '\n');
-  for (size_t E = 0; E < L.Entries.size(); ++E)
-    for (size_t S = 0; S < Strands; ++S) {
-      Out += strf(E, '\t', S, '\t',
-                  static_cast<int>(L.Status[E * Strands + S]));
-      for (size_t K = 0; K < Slots; ++K)
-        Out += strf('\t', hex64(L.Slots[(E * Strands + S) * Slots + K]));
-      Out += '\n';
-    }
+std::string statesToBin(const DigestLog &L) {
+  std::string Out = statesHeader(L);
+  Out += bytesOf(L.Status);
+  Out += bytesOf(L.Slots);
   return Out;
 }
 
-Status statesFromTsv(const std::string &Text, DigestLog &L) {
-  std::vector<std::string> Lines = splitString(Text, '\n');
-  size_t At = 0;
-  while (At < Lines.size() && Lines[At].empty())
-    ++At;
-  if (At >= Lines.size() || Lines[At].empty() || Lines[At][0] != '#')
-    return Status::error("state log missing '# entries strands slots' header");
-  std::vector<std::string> Hdr = splitString(Lines[At].substr(1), ' ');
-  std::vector<int64_t> Dims;
-  for (const std::string &H : Hdr)
-    if (!H.empty())
-      Dims.push_back(std::atoll(H.c_str()));
-  if (Dims.size() != 3 || Dims[0] < 0 || Dims[1] < 0 || Dims[2] < 0)
-    return Status::error("malformed state log header");
-  size_t Entries = static_cast<size_t>(Dims[0]);
-  size_t Strands = static_cast<size_t>(Dims[1]);
-  size_t Slots = static_cast<size_t>(Dims[2]);
-  if (!L.Entries.empty() && L.Entries.size() != Entries)
-    return Status::error("state log entry count disagrees with digests");
-  L.NumStrands = Dims[1];
-  L.NumSlots = Dims[2];
-  L.Status.assign(Entries * Strands, 0);
-  L.Slots.assign(Entries * Strands * Slots, 0);
-  for (++At; At < Lines.size(); ++At) {
-    const std::string &Line = Lines[At];
-    if (Line.empty())
-      continue;
-    std::vector<std::string> Cols = splitString(Line, '\t');
-    if (Cols.size() != 3 + Slots)
-      return Status::error(strf("malformed state line: '", Line, "'"));
-    size_t E = static_cast<size_t>(std::atoll(Cols[0].c_str()));
-    size_t S = static_cast<size_t>(std::atoll(Cols[1].c_str()));
-    if (E >= Entries || S >= Strands)
-      return Status::error(strf("state line out of range: '", Line, "'"));
-    L.Status[E * Strands + S] =
-        static_cast<uint8_t>(std::atoi(Cols[2].c_str()));
-    for (size_t K = 0; K < Slots; ++K)
-      if (!parseHex64(Cols[3 + K], 0, L.Slots[(E * Strands + S) * Slots + K]))
-        return Status::error(strf("malformed slot bits: '", Line, "'"));
-  }
+Status statesFromBin(std::string_view Bytes, DigestLog &L) {
+  if (!Bytes.starts_with(StatesMagic))
+    return Status::error("state log: bad magic (not a states.bin file)");
+  if (Bytes.size() < StatesHeaderBytes)
+    return Status::error(strf("state log: truncated header (", Bytes.size(),
+                              " of ", StatesHeaderBytes, " bytes)"));
+  uint64_t Dims[3];
+  std::memcpy(Dims, Bytes.data() + StatesMagic.size(), sizeof(Dims));
+  const auto [Entries, Strands, Slots] = Dims;
+  // Every product and sum below is checked before it is formed, so no
+  // header can wrap into a size that happens to match the file.
+  uint64_t Rows = 0, Words = 0;
+  if (Strands > INT64_MAX || Slots > INT64_MAX ||
+      !checkedMul(Entries, Strands, Rows) || !checkedMul(Rows, Slots, Words) ||
+      Rows > UINT64_MAX - StatesHeaderBytes ||
+      Words > (UINT64_MAX - StatesHeaderBytes - Rows) / 8)
+    return Status::error(strf("state log: dimensions ", Entries, " x ",
+                              Strands, " x ", Slots, " overflow"));
+  const uint64_t WordBytes = Words * 8;
+  const uint64_t Want = StatesHeaderBytes + Rows + WordBytes;
+  if (Bytes.size() < Want)
+    return Status::error(strf("state log: truncated (", Bytes.size(), " of ",
+                              Want, " bytes for ", Entries, " entries x ",
+                              Strands, " strands x ", Slots, " slots)"));
+  if (Bytes.size() > Want)
+    return Status::error(strf("state log: ", Bytes.size() - Want,
+                              " bytes past the end of ", Entries,
+                              " entries x ", Strands, " strands x ", Slots,
+                              " slots"));
+  if (Entries != L.Entries.size())
+    return Status::error(strf("state log has ", Entries,
+                              " entries but the digest stream has ",
+                              L.Entries.size()));
+  const char *P = Bytes.data() + StatesHeaderBytes;
+  L.NumStrands = static_cast<int64_t>(Strands);
+  L.NumSlots = static_cast<int64_t>(Slots);
+  L.Status.assign(P, P + Rows);
+  L.Slots.resize(Words);
+  if (Words != 0)
+    std::memcpy(L.Slots.data(), P + Rows, WordBytes);
   L.HasStates = true;
   return Status::ok();
 }
@@ -551,9 +586,10 @@ Status writeBundle(const std::string &Dir, const ReplayBundle &B,
                                digestsToTsv(B.Digests));
   if (!S.isOk())
     return S;
-  if (B.Digests.HasStates) {
-    S = support::writeFileAtomic((fs::path(Dir) / bundleStatesFile()).string(),
-                                 statesToTsv(B.Digests));
+  if (const DigestLog &L = B.Digests; L.HasStates) {
+    S = support::writeFileAtomic(
+        (fs::path(Dir) / bundleStatesFile()).string(),
+        {statesHeader(L), bytesOf(L.Status), bytesOf(L.Slots)});
     if (!S.isOk())
       return S;
   }
@@ -586,9 +622,9 @@ Result<ReplayBundle> readBundle(const std::string &Dir) {
     Result<std::string> St = readFileBytes(fs::path(Dir) / bundleStatesFile());
     if (!St.isOk())
       return RB::error(St.message());
-    S = statesFromTsv(*St, B.Digests);
+    S = statesFromBin(*St, B.Digests);
     if (!S.isOk())
-      return RB::error(S.message());
+      return RB::error(strf(bundleStatesFile(), ": ", S.message()));
   }
   return B;
 }

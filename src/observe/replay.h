@@ -17,8 +17,8 @@
 ///   program.diderot       the DSL source, verbatim
 ///   digests.tsv           one 128-bit canonical state digest per superstep
 ///                         (entry 0 = post-initialize; observe/digest.h)
-///   states.tsv            optional per-strand canonical state behind every
-///                         digest entry (status byte + slot bit patterns)
+///   states.bin            optional per-strand canonical state behind every
+///                         digest entry, binary (layout at statesToBin)
 ///   input-<hash128>.nrrd  content-addressed copies of file-based inputs
 ///
 /// This layer owns the FORMAT and the DIAGNOSIS (first divergent superstep,
@@ -35,6 +35,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "observe/digest.h"
@@ -43,7 +44,9 @@
 namespace diderot::observe {
 
 /// Bundle schema version; bump on any manifest or file-layout change.
-constexpr int ReplaySchemaVersion = 1;
+/// Schema 2 replaced schema 1's text state log (states.tsv) with
+/// states.bin; older bundles are refused with a request to re-record.
+constexpr int ReplaySchemaVersion = 2;
 
 /// One recorded input binding. File-based NRRD inputs are copied into the
 /// bundle content-addressed and Text rewritten to the bundle-relative name;
@@ -115,7 +118,7 @@ struct ReplayBundle {
 inline const char *bundleManifestFile() { return "manifest.json"; }
 inline const char *bundleSourceFile() { return "program.diderot"; }
 inline const char *bundleDigestsFile() { return "digests.tsv"; }
-inline const char *bundleStatesFile() { return "states.tsv"; }
+inline const char *bundleStatesFile() { return "states.bin"; }
 
 /// Content-addressed name for an input file with FNV-128 hex \p Hash.
 inline std::string bundleInputFile(const std::string &Hash) {
@@ -135,11 +138,18 @@ Status manifestFromJson(const std::string &Json, ReplayBundle &B);
 std::string digestsToTsv(const DigestLog &L);
 Status digestsFromTsv(const std::string &Text, DigestLog &L);
 
-/// Serialize / parse the state log: a "# entries strands slots" header then
-/// one "<entry>\t<strand>\t<status>\t<slot-bits-hex>..." line per strand
-/// per entry.
-std::string statesToTsv(const DigestLog &L);
-Status statesFromTsv(const std::string &Text, DigestLog &L);
+/// Serialize the state log of \p L (HasStates) as states.bin: a 32-byte
+/// header — the magic "DDRSTATE", then entries, strands and slots as
+/// little-endian u64 — followed by the DigestLog::Status bytes and the
+/// DigestLog::Slots words (little-endian), both in the in-memory layout.
+/// writeBundle writes the same bytes without joining them first.
+std::string statesToBin(const DigestLog &L);
+
+/// Parse states.bin bytes into the NumStrands/NumSlots/Status/Slots of
+/// \p L and set HasStates. The digest stream is read first: the entry
+/// count must equal L.Entries.size(). Rejects a bad magic, a truncated or
+/// oversized file and dimensions whose product overflows.
+Status statesFromBin(std::string_view Bytes, DigestLog &L);
 
 /// Write \p B into directory \p Dir (created if needed). \p InputFiles maps
 /// bundle-relative names (bundleInputFile form) to raw NRRD bytes. Every

@@ -88,8 +88,7 @@ struct RunConfig {
   bool CollectMetrics = false;
   /// Capture a 128-bit canonical state digest per superstep (entry 0 =
   /// post-initialize) for record/replay (docs/REPLAY.md); read back through
-  /// digestLog(). Native .so files older than ABI v7 degrade gracefully:
-  /// the run succeeds but digestLog() has no per-step entries.
+  /// digestLog() or takeDigestLog().
   bool CollectDigests = false;
   /// Additionally retain the full canonicalized per-strand state behind
   /// every digest entry (memory: entries x strands x (1 + slots) words).
@@ -175,6 +174,11 @@ public:
   /// when the last run did not record (or the engine/ABI cannot). The
   /// pointer stays valid until the next run() or destruction.
   virtual const observe::DigestLog *digestLog() const { return nullptr; }
+
+  /// Move the digest log of the most recent digest-armed run out of the
+  /// instance (empty when there is none); digestLog() is null afterwards.
+  /// What the flight recorder uses, so a large state log is never copied.
+  virtual observe::DigestLog takeDigestLog() { return {}; }
 
   // -- Outputs (after run) --------------------------------------------------
   /// Grid dimensions for grid-initialized programs (first iterator is the

@@ -468,14 +468,13 @@ public:
   /// Workers <= 0 (sequential). Hosts probing an older .so that predates
   /// this flag fall back to BSP on their side.
   static constexpr int RunPooledFlag = 16;
-  /// Record a canonical state digest per superstep (runtime ABI v7; see
-  /// observe/digest.h): entry 0 post-initialize, entry k after superstep k.
-  /// Read back through ddr_digest_read. Hosts probing a pre-v7 .so see no
-  /// ddr_digest_read symbol and degrade to final-output-only digests.
+  /// Record a canonical state digest per superstep (observe/digest.h):
+  /// entry 0 post-initialize, entry k after superstep k. Read back through
+  /// ddr_digest_read.
   static constexpr int RunDigestFlag = 32;
   /// Additionally retain the full canonicalized per-strand state behind
-  /// every digest entry (implies RunDigestFlag); read back through
-  /// ddr_state_read. Memory scales with entries x strands x slots.
+  /// every digest entry (implies RunDigestFlag); ddr_digest_read copies it
+  /// out too. Memory scales with entries x strands x slots.
   static constexpr int RunStateLogFlag = 64;
 
   /// The highest DSL source line the generated profiled code instruments
@@ -487,50 +486,19 @@ public:
       return 0;
   }
 
-  /// Number of scalar state slots the emitter exposed for digesting
-  /// (Derived::NumStateSlots). Hand-written Derived classes in tests that
-  /// predate v7 have none — their digests cover status bytes only.
-  static constexpr int numStateSlots() {
-    if constexpr (requires { Derived::NumStateSlots; })
-      return Derived::NumStateSlots;
-    else
-      return 0;
-  }
-
-  /// Slot \p K of strand \p S as a double (Derived::strandSlotValue — the
-  /// emitter's switch over the scalarized members, params first then state
-  /// vars, matching the interpreter's flattening order).
-  double slotValue(const StrandT &S, int K) {
-    if constexpr (requires(Derived &D, const StrandT &St) {
-                    D.strandSlotValue(St, 0);
-                  })
-      return self().strandSlotValue(S, K);
-    else {
-      (void)S;
-      (void)K;
-      return 0.0;
-    }
-  }
-
   /// Append one canonical digest entry (observe/digest.h) over the current
   /// Status vector and strand states; with the state log armed, also retain
-  /// the canonicalized per-strand words.
+  /// the canonicalized per-strand words. Slots come from the emitter's
+  /// Derived::strandSlotValue, a switch over the scalarized members: params
+  /// first, then state vars, matching the interpreter's flattening order.
   void captureDigestEntry() {
-    observe::StrandStateHasher H;
-    const int NS = numStateSlots();
+    observe::DigestEntryWriter W(DLog);
     for (size_t S = 0; S < Strands.size(); ++S) {
-      uint8_t St = static_cast<uint8_t>(Status[S]);
-      H.status(St);
-      if (DLog.HasStates)
-        DLog.Status.push_back(St);
-      for (int K = 0; K < NS; ++K) {
-        double V = slotValue(Strands[S], K);
-        H.slot(V);
-        if (DLog.HasStates)
-          DLog.Slots.push_back(observe::canonicalBits(V));
-      }
+      W.status(static_cast<uint8_t>(Status[S]));
+      for (int K = 0; K < Derived::NumStateSlots; ++K)
+        W.slot(self().strandSlotValue(Strands[S], K));
     }
-    DLog.Entries.push_back(H.digest());
+    W.finish();
   }
 
   int run(int MaxSteps, int Workers, int BlockSize, int Collect) {
@@ -593,7 +561,7 @@ public:
     const rt::StepHook *HookP = nullptr;
     if (Digest) {
       DLog.NumStrands = static_cast<int64_t>(Strands.size());
-      DLog.NumSlots = numStateSlots();
+      DLog.NumSlots = Derived::NumStateSlots;
       DLog.HasStates = Flags & RunStateLogFlag;
       captureDigestEntry(); // entry 0: post-initialize state
       Hook = [this](int) { captureDigestEntry(); };
@@ -725,24 +693,40 @@ public:
     return copyFlat(observe::flattenFaults(LastFaults), Out, Cap);
   }
 
-  /// Flatten the digest stream of the last digest-armed run
-  /// (observe::flattenDigests layout; same null/size protocol as
-  /// readStats). Empty stream when the last run did not record.
-  int64_t readDigests(uint64_t *Out, int64_t Cap) const {
-    return copyFlat(observe::flattenDigests(DLog), Out, Cap);
-  }
-
-  /// Flatten the per-strand state log of the last state-log-armed run
-  /// (observe::flattenStates layout). Returns 0 when the last run recorded
-  /// digests only (or nothing) — hosts treat < 3 words as absent.
-  int64_t readStates(uint64_t *Out, int64_t Cap) const {
+  /// Copy the digest log of the last run out (behind ddr_digest_read).
+  /// Dims receives {entries, strands, slots}. Non-null buffers, sized from
+  /// Dims by the caller, receive the entries as (Hi, Lo) word pairs and,
+  /// when a state log was retained, the status bytes and slot words in
+  /// observe::DigestLog layout. Returns 1 with a state log, 0 with digests
+  /// only (or nothing recorded), -1 if the log is inconsistent.
+  int readDigestLog(int64_t *Dims, uint64_t *Entries, uint8_t *StatusOut,
+                    uint64_t *SlotsOut) const {
+    const size_t E = DLog.Entries.size();
+    const size_t N = E * static_cast<size_t>(DLog.NumStrands);
+    Dims[0] = static_cast<int64_t>(E);
+    Dims[1] = DLog.NumStrands;
+    Dims[2] = DLog.NumSlots;
+    if (DLog.HasStates &&
+        (DLog.Status.size() != N ||
+         DLog.Slots.size() != N * static_cast<size_t>(DLog.NumSlots)))
+      return -1;
+    if (Entries)
+      for (size_t I = 0; I < E; ++I) {
+        Entries[2 * I] = DLog.Entries[I].Hi;
+        Entries[2 * I + 1] = DLog.Entries[I].Lo;
+      }
     if (!DLog.HasStates)
       return 0;
-    return copyFlat(observe::flattenStates(DLog), Out, Cap);
+    if (StatusOut && N)
+      std::memcpy(StatusOut, DLog.Status.data(), N);
+    if (SlotsOut && !DLog.Slots.empty())
+      std::memcpy(SlotsOut, DLog.Slots.data(),
+                  DLog.Slots.size() * sizeof(uint64_t));
+    return 1;
   }
 
   /// Digest log of the last digest-armed run (tests linking the prelude
-  /// directly read it here; the C ABI goes through readDigests/readStates).
+  /// directly read it here; the C ABI goes through readDigestLog).
   const observe::DigestLog &digestLog() const { return DLog; }
 
   /// Message text of fault \p I of the last run, or null when out of range.

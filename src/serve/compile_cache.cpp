@@ -52,30 +52,48 @@ ProgramRegistry::getOrCompile(const std::string &Source,
                               const std::string &Name) {
   Lookup L;
   L.Key = codegen::programCacheKey(Source, Opts).hex();
+  auto Hit = [&] {
+    auto It = Programs.find(L.Key);
+    if (It == Programs.end())
+      return false;
+    Hits.fetch_add(1, std::memory_order_relaxed);
+    L.Prog = It->second;
+    L.Cached = true;
+    return true;
+  };
+  std::shared_ptr<std::mutex> Compile;
   {
     std::lock_guard<std::mutex> G(Mu);
-    auto It = Programs.find(L.Key);
-    if (It != Programs.end()) {
-      Hits.fetch_add(1, std::memory_order_relaxed);
-      L.Prog = It->second;
-      L.Cached = true;
+    if (Hit())
       return L;
-    }
+    auto &Slot = Compiling[L.Key];
+    if (!Slot)
+      Slot = std::make_shared<std::mutex>();
+    Compile = Slot;
+  }
+  // Serialize compiles of this key only; a racing requester that finished
+  // while we waited has already published the program.
+  std::lock_guard<std::mutex> CG(*Compile);
+  {
+    std::lock_guard<std::mutex> G(Mu);
+    if (Hit())
+      return L;
   }
   Misses.fetch_add(1, std::memory_order_relaxed);
   auto T0 = std::chrono::steady_clock::now();
   Result<CompiledProgram> C = compileString(Source, Opts, Name);
-  if (!C.isOk())
-    return Result<Lookup>::error(C.message());
   L.CompileNs = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - T0)
           .count());
-  auto Fresh = std::make_shared<const CompiledProgram>(C.take());
   std::lock_guard<std::mutex> G(Mu);
-  auto [It, Inserted] = Programs.emplace(L.Key, std::move(Fresh));
-  (void)Inserted; // a racing miss may have beaten us; serve the winner
-  L.Prog = It->second;
+  Compiling.erase(L.Key);
+  if (!C.isOk())
+    return Result<Lookup>::error(C.message());
+  L.Prog = Programs
+               .emplace(L.Key,
+                        std::make_shared<const CompiledProgram>(C.take()))
+               .first->second;
   return L;
 }
 

@@ -65,9 +65,10 @@ std::vector<CacheEntry> readCacheIndex(const std::string &Dir);
 
 /// In-process registry of compiled programs, keyed by source content.
 /// Thread-safe; lookups are a mutex-guarded map probe, compiles happen
-/// outside the lock (two racing misses may both compile — the loser's
-/// result is discarded, and the expensive .so build below is already
-/// singleflighted by the loader).
+/// outside the lock and are singleflighted per key the way the native
+/// loader singleflights .so builds: racing misses on one key wait for a
+/// single front-end compile and count as hits. A failed compile is not
+/// cached, so each waiter then retries it.
 class ProgramRegistry {
 public:
   explicit ProgramRegistry(CompileOptions Opts) : Opts(std::move(Opts)) {}
@@ -95,6 +96,8 @@ private:
   CompileOptions Opts;
   mutable std::mutex Mu;
   std::map<std::string, std::shared_ptr<const CompiledProgram>> Programs;
+  /// One compile mutex per key with a compile in flight.
+  std::map<std::string, std::shared_ptr<std::mutex>> Compiling;
   std::atomic<uint64_t> Hits{0}, Misses{0};
 };
 

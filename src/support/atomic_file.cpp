@@ -13,6 +13,11 @@ namespace diderot::support {
 namespace fs = std::filesystem;
 
 Status writeFileAtomic(const std::string &Path, const std::string &Contents) {
+  return writeFileAtomic(Path, {std::string_view(Contents)});
+}
+
+Status writeFileAtomic(const std::string &Path,
+                       std::initializer_list<std::string_view> Pieces) {
   fs::path Dest(Path);
   // Same-directory temp so the rename never crosses a filesystem boundary.
   fs::path Tmp = Dest;
@@ -21,7 +26,8 @@ Status writeFileAtomic(const std::string &Path, const std::string &Contents) {
     std::ofstream Out(Tmp, std::ios::binary | std::ios::trunc);
     if (!Out)
       return Status::error(strf("cannot write ", Tmp.string()));
-    Out.write(Contents.data(), static_cast<std::streamsize>(Contents.size()));
+    for (std::string_view P : Pieces)
+      Out.write(P.data(), static_cast<std::streamsize>(P.size()));
     if (!Out.flush()) {
       Out.close();
       std::error_code EC;

@@ -20,7 +20,9 @@
 #ifndef DIDEROT_SUPPORT_ATOMIC_FILE_H
 #define DIDEROT_SUPPORT_ATOMIC_FILE_H
 
+#include <initializer_list>
 #include <string>
+#include <string_view>
 
 #include "support/result.h"
 
@@ -30,6 +32,11 @@ namespace diderot::support {
 /// "<Path>.tmp.<pid>", flush, rename over \p Path. On any failure the temp
 /// file is removed and \p Path is left untouched (old contents intact).
 Status writeFileAtomic(const std::string &Path, const std::string &Contents);
+
+/// Like writeFileAtomic with the concatenation of \p Pieces as contents,
+/// written piece by piece — large binary arrays need no joined copy.
+Status writeFileAtomic(const std::string &Path,
+                       std::initializer_list<std::string_view> Pieces);
 
 /// Like writeFileAtomic but failures are swallowed — for inventory files
 /// whose loss is recoverable (the cache index, the recordings index).

@@ -1,7 +1,8 @@
 //===--- tests/replay_test.cpp - flight recorder record/replay ---------------===//
 //
 // The record/replay subsystem (docs/REPLAY.md) end to end: the ustar
-// bundle archive, the manifest/digest/state wire formats, cross-scheduler
+// bundle archive, the manifest/digest/states.bin formats (including a
+// malformed-input corpus and schema-1 refusal), cross-scheduler
 // and cross-engine digest determinism, record -> replay fidelity (including
 // fault-injection plans), first-divergence diagnosis with source-map field
 // names, and the daemon's failure capture (--record-on-failure, GET
@@ -222,7 +223,8 @@ TEST(ReplayFormat, ManifestRejectsBadSchema) {
   EXPECT_FALSE(observe::manifestFromJson("not json", B).isOk());
 }
 
-TEST(ReplayFormat, DigestAndStateTsvRoundTrip) {
+/// A 2-entry, 2-strand, 3-slot state log.
+observe::DigestLog sampleStateLog() {
   observe::DigestLog L;
   L.NumStrands = 2;
   L.NumSlots = 3;
@@ -231,14 +233,123 @@ TEST(ReplayFormat, DigestAndStateTsvRoundTrip) {
   L.Status = {0, 1, 2, 3};
   L.Slots.assign(12, 0);
   L.Slots[5] = 0x3ff0000000000000ull; // 1.0
+  L.Slots[11] = 0x8000000000000001ull;
+  return L;
+}
+
+TEST(ReplayFormat, DigestAndStateBinRoundTrip) {
+  observe::DigestLog L = sampleStateLog();
   observe::DigestLog M;
   ASSERT_TRUE(observe::digestsFromTsv(observe::digestsToTsv(L), M).isOk());
   EXPECT_EQ(M.Entries, L.Entries);
-  ASSERT_TRUE(observe::statesFromTsv(observe::statesToTsv(L), M).isOk());
+  std::string Bin = observe::statesToBin(L);
+  // 32-byte header, then 4 status bytes and 12 slot words.
+  EXPECT_EQ(Bin.size(), 32u + 4u + 12u * 8u);
+  EXPECT_EQ(Bin.substr(0, 8), "DDRSTATE");
+  ASSERT_TRUE(observe::statesFromBin(Bin, M).isOk());
+  EXPECT_TRUE(M.HasStates);
   EXPECT_EQ(M.NumStrands, L.NumStrands);
   EXPECT_EQ(M.NumSlots, L.NumSlots);
   EXPECT_EQ(M.Status, L.Status);
   EXPECT_EQ(M.Slots, L.Slots);
+}
+
+/// Overwrite header dimension \p Index (0 entries, 1 strands, 2 slots) of
+/// a states.bin image with \p V, little-endian.
+void setStateDim(std::string &Bin, int Index, uint64_t V) {
+  for (int I = 0; I < 8; ++I, V >>= 8)
+    Bin[static_cast<size_t>(8 + 8 * Index + I)] = static_cast<char>(V & 0xFF);
+}
+
+TEST(ReplayFormat, StateLogRejectsMalformed) {
+  const std::string Good = observe::statesToBin(sampleStateLog());
+  auto Parse = [](const std::string &Bin, size_t DigestEntries = 2) {
+    observe::DigestLog M;
+    M.Entries.resize(DigestEntries);
+    Status S = observe::statesFromBin(Bin, M);
+    return S.isOk() ? std::string("ok") : S.message();
+  };
+  auto Rejects = [&](const std::string &Bin, const char *Why,
+                     size_t DigestEntries = 2) {
+    std::string Msg = Parse(Bin, DigestEntries);
+    EXPECT_NE(Msg.find(Why), std::string::npos)
+        << "expected '" << Why << "', got: " << Msg;
+  };
+  ASSERT_EQ(Parse(Good), "ok");
+
+  std::string BadMagic = Good;
+  BadMagic[3] = 'x';
+  Rejects(BadMagic, "bad magic");
+  Rejects("", "bad magic");
+  Rejects(Good.substr(0, 20), "truncated header");
+  Rejects(Good.substr(0, Good.size() - 1), "truncated");
+  Rejects(Good.substr(0, 32), "truncated");
+  Rejects(Good + '\0', "past the end");
+
+  // Dimensions whose product wraps 64 bits must not wrap into a size that
+  // happens to match the file.
+  std::string Wrap = Good;
+  setStateDim(Wrap, 0, 1ull << 32);
+  setStateDim(Wrap, 1, 1ull << 32);
+  Rejects(Wrap, "overflow");
+  Wrap = Good;
+  setStateDim(Wrap, 2, 1ull << 61);
+  Rejects(Wrap, "overflow");
+  Wrap = Good;
+  setStateDim(Wrap, 1, 1ull << 63);
+  Rejects(Wrap, "overflow");
+  Wrap = Good; // the status bytes alone overflow the header + size sum
+  setStateDim(Wrap, 0, ~0ull);
+  setStateDim(Wrap, 1, 1);
+  setStateDim(Wrap, 2, 0);
+  Rejects(Wrap, "overflow");
+
+  // The state log must cover exactly the digest stream's entries.
+  Rejects(Good, "digest stream", 3);
+  Rejects(Good, "digest stream", 0);
+
+  // Through a bundle on disk: a torn states.bin fails the read by name.
+  std::string Dir = tempDir("torn");
+  observe::ReplayBundle B = sampleBundle();
+  B.Digests = sampleStateLog();
+  ASSERT_TRUE(observe::writeBundle(Dir, B).isOk());
+  ASSERT_TRUE(observe::readBundle(Dir).isOk());
+  fs::path States = fs::path(Dir) / observe::bundleStatesFile();
+  fs::resize_file(States, fs::file_size(States) - 8);
+  Result<observe::ReplayBundle> Torn = observe::readBundle(Dir);
+  ASSERT_FALSE(Torn.isOk());
+  EXPECT_NE(Torn.message().find("states.bin"), std::string::npos)
+      << Torn.message();
+  fs::remove_all(Dir);
+}
+
+TEST(ReplayFormat, SchemaOneBundleRefused) {
+  observe::ReplayBundle B;
+  Status S = observe::manifestFromJson("{\"schema\": 1}", B);
+  ASSERT_FALSE(S.isOk());
+  EXPECT_NE(S.message().find("re-record"), std::string::npos) << S.message();
+
+  // A whole schema-1 bundle directory (text state log) is refused too.
+  std::string Dir = tempDir("schema1");
+  B = sampleBundle();
+  B.Digests.Entries = {{7, 8}};
+  ASSERT_TRUE(observe::writeBundle(Dir, B).isOk());
+  fs::path Manifest = fs::path(Dir) / observe::bundleManifestFile();
+  std::string Json;
+  {
+    std::ifstream In(Manifest);
+    Json.assign(std::istreambuf_iterator<char>(In),
+                std::istreambuf_iterator<char>());
+  }
+  size_t At = Json.find("\"schema\": 2");
+  ASSERT_NE(At, std::string::npos) << Json;
+  Json.replace(At, 11, "\"schema\": 1");
+  std::ofstream(Manifest) << Json;
+  std::ofstream(fs::path(Dir) / "states.tsv") << "# 1 0 0\n";
+  Result<observe::ReplayBundle> R = observe::readBundle(Dir);
+  ASSERT_FALSE(R.isOk());
+  EXPECT_NE(R.message().find("re-record"), std::string::npos) << R.message();
+  fs::remove_all(Dir);
 }
 
 TEST(ReplayFormat, BundleDirectoryRoundTrip) {
@@ -300,6 +411,63 @@ TEST(ReplayDeterminism, NativeDoubleMatchesInterp) {
   Pooled.NumWorkers = 3;
   Pooled.Sched = rt::Scheduler::Pooled;
   EXPECT_EQ(A, digestsUnder(*CN, Pooled));
+}
+
+/// Entry \p E's digest recomputed from the state log's retained words.
+support::Hash128 rehashEntry(const observe::DigestLog &L, size_t E) {
+  observe::StrandStateHasher H;
+  size_t Strands = static_cast<size_t>(L.NumStrands);
+  size_t Slots = static_cast<size_t>(L.NumSlots);
+  for (size_t S = E * Strands; S < (E + 1) * Strands; ++S) {
+    H.status(L.Status[S]);
+    for (size_t K = 0; K < Slots; ++K)
+      H.slotBits(L.Slots[S * Slots + K]);
+  }
+  return H.digest();
+}
+
+TEST(ReplayDeterminism, AnySingleStateChangeChangesTheDigest) {
+  for (Engine Eng : {Engine::Interp, Engine::Native}) {
+    Result<CompiledProgram> CP = compileWith(Eng, /*DoublePrec=*/true);
+    ASSERT_TRUE(CP.isOk()) << CP.message();
+    std::unique_ptr<rt::ProgramInstance> I = makeInstance(*CP);
+    ASSERT_TRUE(I && I->initialize().isOk());
+    rt::RunConfig RC;
+    RC.MaxSupersteps = 100;
+    RC.CollectStateLog = true;
+    ASSERT_TRUE(I->run(RC).isOk());
+    observe::DigestLog L = I->takeDigestLog();
+    EXPECT_EQ(I->digestLog(), nullptr) << "takeDigestLog must move the log";
+    ASSERT_TRUE(L.HasStates);
+    ASSERT_GT(L.NumSlots, 0);
+    size_t Strands = static_cast<size_t>(L.NumStrands);
+    size_t Slots = static_cast<size_t>(L.NumSlots);
+    size_t Flips = 0;
+    for (size_t E = 0; E < L.entries(); ++E) {
+      // The retained words are exactly what the engine hashed...
+      ASSERT_TRUE(rehashEntry(L, E) == L.Entries[E]) << "entry " << E;
+      // ...and flipping any one status bit or slot bit changes the digest.
+      // Positions are sampled: every strand, every status bit, and every
+      // slot bit of strands and slots picked by a fixed stride.
+      for (size_t S = 0; S < Strands; ++S) {
+        uint8_t &St = L.Status[E * Strands + S];
+        for (int Bit = 0; Bit < 8; ++Bit, ++Flips) {
+          St ^= static_cast<uint8_t>(1u << Bit);
+          EXPECT_FALSE(rehashEntry(L, E) == L.Entries[E])
+              << "entry " << E << " strand " << S << " status bit " << Bit;
+          St ^= static_cast<uint8_t>(1u << Bit);
+        }
+        uint64_t &W = L.Slots[(E * Strands + S) * Slots + (S + E) % Slots];
+        for (int Bit = 0; Bit < 64; ++Bit, ++Flips) {
+          W ^= 1ull << Bit;
+          EXPECT_FALSE(rehashEntry(L, E) == L.Entries[E])
+              << "entry " << E << " strand " << S << " slot bit " << Bit;
+          W ^= 1ull << Bit;
+        }
+      }
+    }
+    EXPECT_GT(Flips, 1000u);
+  }
 }
 
 //===----------------------------------------------------------------------===//

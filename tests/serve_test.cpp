@@ -221,6 +221,35 @@ TEST(ProgramRegistry, CachesBySourceContent) {
   EXPECT_EQ(Reg.size(), 2u);
 }
 
+TEST(ProgramRegistry, RacingMissesCompileOnce) {
+  CompileOptions Opts;
+  Opts.Eng = Engine::Interp;
+  serve::ProgramRegistry Reg(Opts);
+  constexpr int N = 8;
+  std::vector<const CompiledProgram *> Progs(N, nullptr);
+  std::atomic<int> Cached{0}, Failed{0};
+  std::vector<std::thread> Threads;
+  for (int T = 0; T < N; ++T)
+    Threads.emplace_back([&, T] {
+      auto L = Reg.getOrCompile(ProgA, "a");
+      if (!L.isOk()) {
+        ++Failed;
+        return;
+      }
+      Cached += L->Cached ? 1 : 0;
+      Progs[static_cast<size_t>(T)] = L->Prog.get();
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  ASSERT_EQ(Failed.load(), 0);
+  // One front-end compile; every racing requester waited for it.
+  EXPECT_EQ(Reg.misses(), 1u);
+  EXPECT_EQ(Reg.hits(), static_cast<uint64_t>(N - 1));
+  EXPECT_EQ(Cached.load(), N - 1);
+  for (const CompiledProgram *P : Progs)
+    EXPECT_EQ(P, Progs[0]);
+}
+
 TEST(ProgramRegistry, CompileErrorsPropagate) {
   CompileOptions CO;
   CO.Eng = Engine::Interp;
@@ -261,6 +290,21 @@ TEST(CacheKey, OptionsChangeKey) {
   EXPECT_NE(K(Base), K(Flags));
   EXPECT_NE(K(Base), K(NoVn));
   EXPECT_EQ(K(Base), K(CompileOptions{}));
+}
+
+TEST(CacheKey, RuntimeHeadersChangeKey) {
+  // Generated code #includes the runtime from the source tree, so the key
+  // must change when those headers do, or a stale .so would be reused.
+  CompileOptions Opts;
+  support::Hash128 Runtime = codegen::runtimeHeadersHash();
+  EXPECT_TRUE(Runtime == codegen::runtimeHeadersHash());
+  EXPECT_TRUE(Runtime != support::Hash128{});
+  EXPECT_EQ(codegen::programCacheKey("prog", Opts).hex(),
+            codegen::programCacheKey("prog", Opts, Runtime).hex());
+  support::Hash128 Edited = Runtime;
+  Edited.Lo ^= 1;
+  EXPECT_NE(codegen::programCacheKey("prog", Opts, Runtime).hex(),
+            codegen::programCacheKey("prog", Opts, Edited).hex());
 }
 
 TEST(CacheKey, KeyIsStableAndWellFormed) {
